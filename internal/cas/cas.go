@@ -18,7 +18,6 @@
 package cas
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
@@ -164,13 +163,17 @@ func (s *Store) MaxBytes() int64 { return s.maxBytes.Load() }
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// validDigest vets the hex digest used as a content address.
+// validDigest vets the hex digest used as a content address: exactly
+// 64 lowercase hex characters, the form sha256 digests are written in.
+// Uppercase is rejected so one content address names exactly one file.
 func validDigest(digest string) error {
 	if len(digest) != sha256.Size*2 {
 		return fmt.Errorf("cas: digest %q is not a sha256 hex digest", digest)
 	}
-	if _, err := hex.DecodeString(digest); err != nil {
-		return fmt.Errorf("cas: digest %q is not hex: %v", digest, err)
+	for i := 0; i < len(digest); i++ {
+		if c := digest[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return fmt.Errorf("cas: digest %q is not lowercase hex", digest)
+		}
 	}
 	return nil
 }
@@ -189,22 +192,47 @@ func (s *Store) Get(digest string) (payload []byte, ok bool, err error) {
 	if err := validDigest(digest); err != nil {
 		return nil, false, err
 	}
-	data, rerr := os.ReadFile(s.path(digest))
-	if rerr != nil {
-		if errors.Is(rerr, fs.ErrNotExist) {
-			s.misses.Add(1)
-			return nil, false, nil
-		}
+	payload, rerr := readEntry(s.path(digest))
+	switch {
+	case rerr == nil:
+		payload, rerr = decodeEnvelope(payload)
+	case errors.Is(rerr, fs.ErrNotExist):
+		s.misses.Add(1)
+		return nil, false, nil
+	case !errors.Is(rerr, ErrCorrupt):
 		return nil, false, fmt.Errorf("cas: %w", rerr)
 	}
-	payload, verr := decodeEnvelope(data)
-	if verr != nil {
+	if rerr != nil {
 		s.Quarantine(digest)
 		s.misses.Add(1)
 		return nil, false, nil
 	}
 	s.hits.Add(1)
 	return payload, true, nil
+}
+
+// maxEntryBytes caps how much of an entry file Get reads. Real entries
+// are a few hundred bytes; a larger file cannot be an entry this store
+// wrote, so it is quarantined as corrupt instead of being read into
+// memory on every lookup.
+const maxEntryBytes = 1 << 20
+
+// readEntry reads the entry file at path, at most maxEntryBytes of it;
+// a longer file is reported as ErrCorrupt.
+func readEntry(path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	data, err := io.ReadAll(io.LimitReader(f, maxEntryBytes+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(data) > maxEntryBytes {
+		return nil, fmt.Errorf("%w: entry exceeds %d bytes", ErrCorrupt, maxEntryBytes)
+	}
+	return data, nil
 }
 
 // Put stores payload under digest, atomically: the envelope is written
@@ -430,31 +458,39 @@ func (s *Store) Stats() Stats {
 //	<payload bytes>
 func encodeEnvelope(payload []byte) []byte {
 	sum := sha256.Sum256(payload)
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "%s %d\n", magic, EnvelopeVersion)
-	fmt.Fprintf(&buf, "sha256 %s\n", hex.EncodeToString(sum[:]))
-	fmt.Fprintf(&buf, "len %d\n\n", len(payload))
-	buf.Write(payload)
-	return buf.Bytes()
+	b := make([]byte, 0, 128+len(payload)) // the header is under 128 bytes
+	b = append(b, magic+" "...)
+	b = strconv.AppendInt(b, EnvelopeVersion, 10)
+	b = append(b, "\nsha256 "...)
+	b = hex.AppendEncode(b, sum[:])
+	b = append(b, "\nlen "...)
+	b = strconv.AppendInt(b, int64(len(payload)), 10)
+	b = append(b, "\n\n"...)
+	return append(b, payload...)
 }
 
 // decodeEnvelope verifies magic, version, length and checksum, returning
-// the payload or ErrCorrupt (wrapped with the reason).
+// the payload (a subslice of data) or ErrCorrupt wrapped with the
+// reason. Numbers must be in the canonical form encodeEnvelope writes,
+// so a payload is returned only for bytes encodeEnvelope would produce.
 func decodeEnvelope(data []byte) ([]byte, error) {
-	r := bufio.NewReader(bytes.NewReader(data))
-	line := func() (string, error) {
-		l, err := r.ReadString('\n')
-		if err != nil {
-			return "", fmt.Errorf("%w: truncated header", ErrCorrupt)
+	rest := data
+	line := func() ([]byte, error) {
+		i := bytes.IndexByte(rest, '\n')
+		if i < 0 {
+			return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
 		}
-		return l[:len(l)-1], nil
+		l := rest[:i]
+		rest = rest[i+1:]
+		return l, nil
 	}
 	head, err := line()
 	if err != nil {
 		return nil, err
 	}
-	var version int
-	if _, err := fmt.Sscanf(head, magic+" %d", &version); err != nil {
+	verStr, ok := bytes.CutPrefix(head, []byte(magic+" "))
+	version, vok := parseDecimal(verStr)
+	if !ok || !vok {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, head)
 	}
 	if version != EnvelopeVersion {
@@ -464,7 +500,7 @@ func decodeEnvelope(data []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	wantSum, ok := strings.CutPrefix(sumLine, "sha256 ")
+	wantSum, ok := bytes.CutPrefix(sumLine, []byte("sha256 "))
 	if !ok || len(wantSum) != sha256.Size*2 {
 		return nil, fmt.Errorf("%w: bad checksum line %q", ErrCorrupt, sumLine)
 	}
@@ -472,29 +508,44 @@ func decodeEnvelope(data []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	lenStr, ok := strings.CutPrefix(lenLine, "len ")
+	lenStr, ok := bytes.CutPrefix(lenLine, []byte("len "))
 	if !ok {
 		return nil, fmt.Errorf("%w: bad length line %q", ErrCorrupt, lenLine)
 	}
-	want, err := strconv.Atoi(lenStr)
-	if err != nil || want < 0 {
+	want, ok := parseDecimal(lenStr)
+	if !ok {
 		return nil, fmt.Errorf("%w: bad length %q", ErrCorrupt, lenStr)
 	}
 	if blank, err := line(); err != nil {
 		return nil, err
-	} else if blank != "" {
+	} else if len(blank) != 0 {
 		return nil, fmt.Errorf("%w: missing header separator", ErrCorrupt)
 	}
-	payload, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: unreadable payload", ErrCorrupt)
-	}
+	payload := rest
 	if len(payload) != want {
 		return nil, fmt.Errorf("%w: payload %d bytes, header says %d", ErrCorrupt, len(payload), want)
 	}
 	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != wantSum {
+	var hexSum [2 * sha256.Size]byte
+	hex.Encode(hexSum[:], sum[:])
+	if !bytes.Equal(hexSum[:], wantSum) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	return payload, nil
+}
+
+// parseDecimal parses a canonical non-negative decimal: digits only, no
+// sign, no leading zero, at most 18 digits (so it cannot overflow).
+func parseDecimal(b []byte) (int, bool) {
+	if len(b) == 0 || len(b) > 18 || (b[0] == '0' && len(b) > 1) {
+		return 0, false
+	}
+	n := 0
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int(c-'0')
+	}
+	return n, true
 }

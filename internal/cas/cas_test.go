@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -424,5 +425,72 @@ func TestQuarantineDoesNotCountAsEviction(t *testing.T) {
 	entries, err := os.ReadDir(qdir)
 	if err != nil || len(entries) != 1 {
 		t.Fatalf("quarantine dir entries = %d (%v), want 1 — eviction must not touch quarantine", len(entries), err)
+	}
+}
+
+// TestGetBoundsEntryRead proves Get never reads an oversized file into
+// memory: an entry path holding more than maxEntryBytes is quarantined
+// as corrupt, while a directory at an entry path stays an environmental
+// error that leaves the path alone.
+func TestGetBoundsEntryRead(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := digestOf([]byte("big"))
+	if err := os.MkdirAll(filepath.Dir(s.path(big)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// A sparse file: maxEntryBytes+1 bytes on paper, no disk to speak of.
+	if err := os.WriteFile(s.path(big), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(s.path(big), maxEntryBytes+1); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := s.Get(big); ok || err != nil {
+		t.Fatalf("oversized entry: ok=%v err=%v, want a clean miss", ok, err)
+	}
+	if st := s.Stats(); st.Quarantined != 1 || st.Misses != 1 {
+		t.Errorf("stats %+v, want 1 quarantined / 1 miss", st)
+	}
+
+	dir := digestOf([]byte("dir"))
+	if err := os.MkdirAll(s.path(dir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := s.Get(dir); ok || err == nil {
+		t.Fatalf("directory at entry path: ok=%v err=%v, want an error", ok, err)
+	}
+	if info, err := os.Stat(s.path(dir)); err != nil || !info.IsDir() {
+		t.Errorf("directory at entry path was moved: %v", err)
+	}
+	if st := s.Stats(); st.Quarantined != 1 {
+		t.Errorf("stats %+v, want the directory left out of quarantine", st)
+	}
+}
+
+// TestUppercaseDigestRejected pins that one content address names one
+// file: the uppercase spelling of a valid digest is refused by Get and
+// Put, so it can never create a second entry for the same content.
+func TestUppercaseDigestRejected(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte("case")
+	d := digestOf(payload)
+	if err := s.Put(d, payload); err != nil {
+		t.Fatal(err)
+	}
+	upper := strings.ToUpper(d)
+	if err := s.Put(upper, payload); err == nil {
+		t.Error("Put accepted an uppercase digest")
+	}
+	if _, _, err := s.Get(upper); err == nil {
+		t.Error("Get accepted an uppercase digest")
+	}
+	if n, err := s.Len(); err != nil || n != 1 {
+		t.Errorf("Len = %d, %v; want 1", n, err)
 	}
 }

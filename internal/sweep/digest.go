@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 )
 
 // KeySchema is the cell-key content-address schema version. It is baked
@@ -15,11 +16,12 @@ import (
 // either revert the encoding change or bump this constant.
 const KeySchema = 1
 
-// keyWire is the canonical digest encoding of a normalized CellKey. The
-// JSON field order is fixed by this struct and the Faults field is the
-// fault plan's canonical JSON string (already normalized by
-// fault.Plan.Canon), so equal cells — however they were spelled — encode
-// to identical bytes.
+// keyWire is the canonical digest encoding of a normalized CellKey: its
+// json.Marshal bytes. The JSON field order is fixed by this struct and
+// the Faults field is the fault plan's canonical JSON string (already
+// normalized by fault.Plan.Canon), so equal cells — however they were
+// spelled — encode to identical bytes. appendKeyWire builds the same
+// bytes without reflection.
 type keyWire struct {
 	Schema    int    `json:"schema"`
 	Benchmark string `json:"benchmark"`
@@ -35,23 +37,66 @@ type keyWire struct {
 // lowercase hex. k must already be normalized; Digest is the exported,
 // normalizing wrapper.
 func digestOf(k CellKey) string {
-	b, err := json.Marshal(keyWire{
-		Schema:    KeySchema,
-		Benchmark: k.Benchmark,
-		Ref:       k.Ref,
-		System:    k.System,
-		GPUs:      k.GPUs,
-		Batch:     k.Batch,
-		Precision: k.Precision,
-		Faults:    k.Faults,
-	})
-	if err != nil {
-		// Marshalling a struct of strings/ints/bools cannot fail; treat it
-		// as the programming error it would be.
-		panic(fmt.Sprintf("sweep: cell key encoding: %v", err))
+	var buf [256]byte
+	sum := sha256.Sum256(appendKeyWire(buf[:0], k))
+	var hexSum [2 * sha256.Size]byte
+	hex.Encode(hexSum[:], sum[:])
+	return string(hexSum[:])
+}
+
+// appendKeyWire appends the keyWire encoding of k to dst. Strings that
+// need no JSON escaping are copied verbatim; a key holding any byte
+// encoding/json would escape or validate (quotes, backslashes, HTML
+// characters, control bytes, non-ASCII) is encoded by json.Marshal
+// itself, so the bytes are json.Marshal's in every case.
+func appendKeyWire(dst []byte, k CellKey) []byte {
+	if !plainJSON(k.Benchmark) || !plainJSON(k.System) || !plainJSON(k.Precision) || !plainJSON(k.Faults) {
+		b, err := json.Marshal(keyWire{
+			Schema:    KeySchema,
+			Benchmark: k.Benchmark,
+			Ref:       k.Ref,
+			System:    k.System,
+			GPUs:      k.GPUs,
+			Batch:     k.Batch,
+			Precision: k.Precision,
+			Faults:    k.Faults,
+		})
+		if err != nil {
+			// Marshalling a struct of strings/ints/bools cannot fail; treat
+			// it as the programming error it would be.
+			panic(fmt.Sprintf("sweep: cell key encoding: %v", err))
+		}
+		return append(dst, b...)
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	dst = append(dst, `{"schema":`...)
+	dst = strconv.AppendInt(dst, KeySchema, 10)
+	dst = append(dst, `,"benchmark":"`...)
+	dst = append(dst, k.Benchmark...)
+	dst = append(dst, `","ref":`...)
+	dst = strconv.AppendBool(dst, k.Ref)
+	dst = append(dst, `,"system":"`...)
+	dst = append(dst, k.System...)
+	dst = append(dst, `","gpus":`...)
+	dst = strconv.AppendInt(dst, int64(k.GPUs), 10)
+	dst = append(dst, `,"batch":`...)
+	dst = strconv.AppendInt(dst, int64(k.Batch), 10)
+	dst = append(dst, `,"precision":"`...)
+	dst = append(dst, k.Precision...)
+	dst = append(dst, `","faults":"`...)
+	dst = append(dst, k.Faults...)
+	return append(dst, `"}`...)
+}
+
+// plainJSON reports whether encoding/json writes s between its quotes
+// unchanged: printable ASCII other than '"', '\\', '<', '>' and '&'.
+func plainJSON(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20 || c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
 }
 
 // Digest returns the cell's canonical content address: the SHA-256 of

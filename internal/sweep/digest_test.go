@@ -1,9 +1,15 @@
 package sweep
 
 import (
+	"bytes"
+	"encoding/json"
+	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"mlperf/internal/fault"
+	"mlperf/internal/hw"
+	"mlperf/internal/workload"
 )
 
 // goldenPlanJSON is a representative fault plan for the digest golden
@@ -98,5 +104,73 @@ func TestDigestNormalization(t *testing.T) {
 	}
 	if _, err := (CellKey{Benchmark: "nope", System: "dss8440", GPUs: 1}).Digest(); err == nil {
 		t.Error("digest of an invalid key succeeded")
+	}
+}
+
+// wireJSON is the reference keyWire encoding: encoding/json itself.
+func wireJSON(t *testing.T, k CellKey) []byte {
+	t.Helper()
+	b, err := json.Marshal(keyWire{
+		Schema: KeySchema, Benchmark: k.Benchmark, Ref: k.Ref, System: k.System,
+		GPUs: k.GPUs, Batch: k.Batch, Precision: k.Precision, Faults: k.Faults,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestKeyWireMatchesJSON pins that the hand-built digest encoding is
+// byte for byte json.Marshal's, over every benchmark × system name, and
+// over random keys whose strings hold the bytes encoding/json escapes
+// (quotes, backslashes, HTML characters, control bytes, non-ASCII and
+// invalid UTF-8) — the keys that take the json.Marshal fallback.
+func TestKeyWireMatchesJSON(t *testing.T) {
+	plan, err := fault.Parse(goldenPlanJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, err := plan.Canon()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []CellKey
+	for _, b := range workload.All() {
+		for _, sys := range hw.AllSystems() {
+			for i, prec := range []string{"fp32", "mixed", ""} {
+				keys = append(keys,
+					CellKey{Benchmark: b.Abbrev, System: sys.Name, GPUs: 1 << i, Precision: prec},
+					CellKey{Benchmark: b.ModelName, Ref: true, System: sys.Name, GPUs: -i, Batch: 1 << (8 * i), Precision: prec, Faults: canon})
+			}
+		}
+	}
+	alphabet := []string{"a", "Z", "0", " ", "_", "(", "~", "\x7f", `"`, `\`, "<", ">", "&", "\n", "\t", "\x00", "\x1f",
+		"é", "€", " ", " ", "\xff", "\xe2\x82"}
+	rng := rand.New(rand.NewPCG(1, 2))
+	str := func() string {
+		var sb strings.Builder
+		for n := rng.IntN(6); n > 0; n-- {
+			sb.WriteString(alphabet[rng.IntN(len(alphabet))])
+		}
+		return sb.String()
+	}
+	for i := 0; i < 2000; i++ {
+		keys = append(keys, CellKey{
+			Benchmark: str(), Ref: rng.IntN(2) == 1, System: str(),
+			GPUs: rng.IntN(1<<20) - 1<<19, Batch: int(rng.Int64()), Precision: str(), Faults: str(),
+		})
+	}
+	fellBack := 0
+	for _, k := range keys {
+		want := wireJSON(t, k)
+		if got := appendKeyWire(nil, k); !bytes.Equal(got, want) {
+			t.Fatalf("key %+v: wire %q, json.Marshal %q", k, got, want)
+		}
+		if !plainJSON(k.Benchmark) || !plainJSON(k.System) || !plainJSON(k.Precision) || !plainJSON(k.Faults) {
+			fellBack++
+		}
+	}
+	if fellBack == 0 || fellBack == len(keys) {
+		t.Errorf("%d of %d keys took the json.Marshal fallback; want both paths covered", fellBack, len(keys))
 	}
 }

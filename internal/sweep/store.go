@@ -2,18 +2,26 @@ package sweep
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"mlperf/internal/cas"
 )
 
 // RecordCodec is the serialization schema version of on-disk cell
-// records. Decoding is strict — unknown fields, a version mismatch or a
-// key that does not round-trip to the requested digest all reject the
-// entry — so a Record struct change bumps this constant and old entries
-// become clean misses instead of half-decoded garbage.
-const RecordCodec = 1
+// records. Decoding is strict — a version mismatch, a short or
+// over-long payload, a non-canonical field or a key that is not the
+// requested one all reject the entry — so a Record or layout change
+// bumps this constant and old entries become clean misses (quarantined
+// and re-simulated once) instead of half-decoded garbage.
+//
+// Codec 2 is a fixed binary layout: the uvarint codec version, the
+// normalized CellKey, then the Record. Strings are uvarint
+// length-prefixed, ints are zig-zag varints, Ref is one byte (0 or 1),
+// and the Record's nine float64 metrics are little-endian IEEE bits, so
+// every value round-trips bit for bit.
+const RecordCodec = 2
 
 // Store is the pluggable persistent tier behind the engine's in-memory
 // singleflight map: consulted on a memory miss before simulating, and
@@ -46,15 +54,6 @@ type TierStats struct {
 	// verification (envelope corruption, foreign codec, key mismatch) —
 	// the disk tier's quarantine/ traffic. Always 0 for the memory tier.
 	Quarantined int64
-}
-
-// storedRecord is the on-disk envelope payload: codec version, the
-// normalized key (for verification — a misfiled or stale entry must not
-// be attributed to the wrong cell) and the record itself.
-type storedRecord struct {
-	Codec  int     `json:"codec"`
-	Key    CellKey `json:"key"`
-	Record Record  `json:"record"`
 }
 
 // DiskStore adapts the content-addressed blob store into the engine's
@@ -120,11 +119,7 @@ func (d *DiskStore) Put(k CellKey, rec Record) { _ = d.PutE(k, rec) }
 // PutE is Put with the write error surfaced (full disk, permissions),
 // for callers that track the tier's health.
 func (d *DiskStore) PutE(k CellKey, rec Record) error {
-	payload, err := json.Marshal(storedRecord{Codec: RecordCodec, Key: k, Record: rec})
-	if err != nil {
-		return err
-	}
-	return d.cas.Put(digestOf(k), payload)
+	return d.cas.Put(digestOf(k), encodeRecord(k, rec))
 }
 
 // Stats implements Store, mapping the blob store's counters onto the
@@ -146,22 +141,137 @@ func (d *DiskStore) Stats() TierStats {
 // helper for CLIs and tests).
 func (d *DiskStore) Len() (int, error) { return d.cas.Len() }
 
-// decodeRecord strictly decodes a stored record destined for key k.
+// encodeRecord serializes a record destined for key k in the
+// RecordCodec layout.
+func encodeRecord(k CellKey, rec Record) []byte {
+	b := appendRecordKey(make([]byte, 0, 192), k)
+	b = appendString(b, rec.Benchmark)
+	b = appendString(b, rec.System)
+	b = binary.AppendVarint(b, int64(rec.GPUs))
+	b = binary.AppendVarint(b, int64(rec.Batch))
+	b = appendString(b, rec.Precision)
+	for _, f := range rec.metrics() {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(*f))
+	}
+	return b
+}
+
+// appendRecordKey appends the prefix every record stored for k starts
+// with: the codec version and the key.
+func appendRecordKey(b []byte, k CellKey) []byte {
+	b = binary.AppendUvarint(b, RecordCodec)
+	b = appendString(b, k.Benchmark)
+	ref := byte(0)
+	if k.Ref {
+		ref = 1
+	}
+	b = append(b, ref)
+	b = appendString(b, k.System)
+	b = binary.AppendVarint(b, int64(k.GPUs))
+	b = binary.AppendVarint(b, int64(k.Batch))
+	b = appendString(b, k.Precision)
+	return appendString(b, k.Faults)
+}
+
+func appendString(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+// metrics lists the record's float fields in codec order.
+func (r *Record) metrics() [9]*float64 {
+	return [9]*float64{&r.TimeToTrainMin, &r.StepMs, &r.Throughput, &r.CPUPct, &r.GPUPct,
+		&r.DRAMMB, &r.HBMMB, &r.PCIeMbps, &r.NVLinkMbps}
+}
+
+// decodeRecord strictly decodes a stored record destined for key k. The
+// payload must start with exactly the codec version and key encodeRecord
+// writes for k — so a foreign codec, a misfiled entry or a bad Ref byte
+// never decodes — and the record must fill the rest to the last byte.
 func decodeRecord(payload []byte, k CellKey) (Record, error) {
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	dec.DisallowUnknownFields()
-	var sr storedRecord
-	if err := dec.Decode(&sr); err != nil {
-		return Record{}, fmt.Errorf("sweep: bad stored record: %w", err)
+	var buf [256]byte
+	rest, ok := bytes.CutPrefix(payload, appendRecordKey(buf[:0], k))
+	if !ok {
+		if c, n := binary.Uvarint(payload); n > 0 && c != RecordCodec {
+			return Record{}, fmt.Errorf("sweep: stored record codec %d, want %d", c, RecordCodec)
+		}
+		return Record{}, fmt.Errorf("sweep: stored record is not for key %+v", k)
 	}
-	if dec.More() {
-		return Record{}, fmt.Errorf("sweep: trailing data after stored record")
+	r := recordReader{b: rest}
+	rec := Record{
+		Benchmark: r.string(k.Benchmark),
+		System:    r.string(k.System),
+		GPUs:      r.int(),
+		Batch:     r.int(),
+		Precision: r.string(k.Precision),
 	}
-	if sr.Codec != RecordCodec {
-		return Record{}, fmt.Errorf("sweep: stored record codec %d, want %d", sr.Codec, RecordCodec)
+	for _, f := range rec.metrics() {
+		*f = math.Float64frombits(r.uint64())
 	}
-	if sr.Key != k {
-		return Record{}, fmt.Errorf("sweep: stored record key %+v does not match requested %+v", sr.Key, k)
+	if r.bad || len(r.b) != 0 {
+		return Record{}, fmt.Errorf("sweep: malformed stored record for key %+v", k)
 	}
-	return sr.Record, nil
+	return rec, nil
+}
+
+// recordReader walks the record part of a stored payload; the first
+// defect sets bad, and every later read returns a zero value.
+type recordReader struct {
+	b   []byte
+	bad bool
+}
+
+func (r *recordReader) fail() {
+	r.bad = true
+	r.b = nil
+}
+
+// uvarint reads a minimally encoded uvarint: a longer encoding of the
+// same value is rejected, keeping decode the exact inverse of encode.
+func (r *recordReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
+		r.fail()
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// int reads a zig-zag varint, as binary.AppendVarint writes it.
+func (r *recordReader) int() int {
+	u := r.uvarint()
+	v := int64(u>>1) ^ -int64(u&1)
+	if int64(int(v)) != v {
+		r.fail()
+		return 0
+	}
+	return int(v)
+}
+
+// string reads a length-prefixed string, sharing like's storage when
+// the bytes match: a record's names are its key's, so a hit allocates
+// no strings.
+func (r *recordReader) string(like string) string {
+	n := r.uvarint()
+	if n > uint64(len(r.b)) {
+		r.fail()
+		return ""
+	}
+	b := r.b[:n]
+	r.b = r.b[n:]
+	if string(b) == like {
+		return like
+	}
+	return string(b)
+}
+
+func (r *recordReader) uint64() uint64 {
+	if len(r.b) < 8 {
+		r.fail()
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(r.b)
+	r.b = r.b[8:]
+	return v
 }

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -199,7 +200,8 @@ func TestDiskStoreCorruptEntryIsMiss(t *testing.T) {
 
 // TestDiskStoreRejectsForeignCodec proves the strict record codec: an
 // entry whose envelope is intact but whose payload speaks another codec
-// version (or belongs to another key) is quarantined and re-simulated.
+// version, belongs to another key, is cut short or carries a trailing
+// byte is quarantined and read as a miss.
 func TestDiskStoreRejectsForeignCodec(t *testing.T) {
 	dir := t.TempDir()
 	ds, err := OpenDiskStore(dir)
@@ -210,31 +212,115 @@ func TestDiskStoreRejectsForeignCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// A payload from "the future": valid JSON, wrong codec version.
-	future, err := json.Marshal(storedRecord{Codec: RecordCodec + 1, Key: k, Record: Record{Benchmark: "bogus"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	putRaw(t, ds, k, future)
-	if _, ok := ds.Get(k); ok {
-		t.Error("foreign-codec entry returned as a hit")
-	}
-
-	// A record filed under the wrong digest (misattribution).
+	good := encodeRecord(k, Record{Benchmark: "bogus", StepMs: 1})
 	other := k
 	other.GPUs = 4
-	misfiled, err := json.Marshal(storedRecord{Codec: RecordCodec, Key: other, Record: Record{Benchmark: "bogus"}})
+	payloads := map[string][]byte{
+		// A payload from "the future": same layout, next codec version.
+		"future codec": append(binary.AppendUvarint(nil, RecordCodec+1), good[1:]...),
+		// A record filed under the wrong digest (misattribution).
+		"misfiled":  encodeRecord(other, Record{Benchmark: "bogus"}),
+		"truncated": good[:len(good)-1],
+		"trailing":  append(append([]byte(nil), good...), 0),
+	}
+	for name, payload := range payloads {
+		putRaw(t, ds, k, payload)
+		if _, ok := ds.Get(k); ok {
+			t.Errorf("%s entry returned as a hit", name)
+		}
+	}
+	if st := ds.Stats(); st.Quarantined != int64(len(payloads)) {
+		t.Errorf("disk quarantines %d, want %d (stats %+v)", st.Quarantined, len(payloads), st)
+	}
+	putRaw(t, ds, k, good)
+	if rec, ok := ds.Get(k); !ok || rec.Benchmark != "bogus" || rec.StepMs != 1 {
+		t.Errorf("intact entry read back as %+v, %v", rec, ok)
+	}
+}
+
+// TestDiskStoreUpgradeFromJSONCodec is the upgrade path: entries an
+// older binary wrote in the codec-1 JSON layout are quarantined and
+// re-simulated exactly once, rewritten in the current codec, and then
+// replay from disk with zero simulations.
+func TestDiskStoreUpgradeFromJSONCodec(t *testing.T) {
+	dir := t.TempDir()
+	g := storeGrid()
+	keys, err := expand(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	putRaw(t, ds, k, misfiled)
-	if _, ok := ds.Get(k); ok {
-		t.Error("misfiled entry returned as a hit")
+	want, err := RunSequential(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := OpenDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range keys {
+		old, err := json.Marshal(struct {
+			Codec  int     `json:"codec"`
+			Key    CellKey `json:"key"`
+			Record Record  `json:"record"`
+		}{1, k, want[i]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		putRaw(t, ds, k, old)
+	}
+	n := int64(len(keys))
+	identity := func(stage string, st CacheStats) {
+		t.Helper()
+		if st.Simulations != st.Misses-st.Disk.Hits {
+			t.Errorf("%s: identity violated: Simulations=%d, Misses=%d, Disk.Hits=%d",
+				stage, st.Simulations, st.Misses, st.Disk.Hits)
+		}
 	}
 
-	if st := ds.Stats(); st.Quarantined != 2 {
-		t.Errorf("disk quarantines %d, want 2 (stats %+v)", st.Quarantined, st)
+	upgrade := NewEngine(2)
+	ds1, err := OpenDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upgrade.SetStore(ds1)
+	got, err := upgrade.Run(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("upgrade run differs from RunSequential")
+	}
+	st := upgrade.Stats()
+	identity("upgrade run", st)
+	if st.Simulations != n || st.Disk.Hits != 0 || st.Disk.Quarantined != n {
+		t.Errorf("upgrade run stats %+v, want %d simulations / 0 disk hits / %d quarantined", st, n, n)
+	}
+	for _, k := range keys {
+		payload, ok, err := ds1.cas.Get(digestOf(k))
+		if err != nil || !ok {
+			t.Fatalf("%+v not rewritten: ok=%v err=%v", k, ok, err)
+		}
+		if _, err := decodeRecord(payload, k); err != nil {
+			t.Errorf("%+v rewritten in a foreign codec: %v", k, err)
+		}
+	}
+
+	replay := NewEngine(2)
+	ds2, err := OpenDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay.SetStore(ds2)
+	if got, err = replay.Run(g); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("replay differs from RunSequential")
+	}
+	st = replay.Stats()
+	identity("replay", st)
+	if st.Simulations != 0 || st.Disk.Hits != n || st.Disk.Quarantined != 0 {
+		t.Errorf("replay stats %+v, want 0 simulations / %d disk hits / 0 quarantined", st, n)
 	}
 }
 
