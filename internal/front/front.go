@@ -11,9 +11,10 @@
 // ring owner, POSTs each slice as an explicit {"cells": [...]} sub-grid,
 // and merges the sub-results back into the global cell order — byte-
 // identical to a single process running the whole grid. Streaming
-// sweeps merge the backends' frame streams the same way, re-indexing
-// each record frame from its slice-local index to the global one as it
-// arrives.
+// sweeps merge the backends' frame streams the same way, rewriting each
+// record frame's slice-local index to the global one as it arrives.
+// Either way the front relays records as the bytes their backend
+// encoded: it never decodes a record and encodes it again.
 //
 // Failover: a health loop polls each backend's /readyz; a draining or
 // dead backend drops out of the preferred-routing set, and an in-flight
@@ -28,6 +29,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -45,13 +47,13 @@ import (
 
 // Metric names the front registers.
 const (
-	MetricRequests       = "front_requests_total"                    // counter by endpoint/code
-	MetricFailovers      = "front_failovers_total"                   // counter, attempts moved to another backend
-	MetricFanouts        = "front_fanouts_total"                     // counter, sweep sub-requests issued
-	MetricUnhealthy      = "front_backend_down"                      // gauge per backend, 1 = failing /readyz
-	MetricRequestSeconds = "front_request_seconds"                   // histogram by endpoint=, wall time per request
-	MetricTransitions    = "front_backend_transitions_total"         // counter per backend, health flips (up<->down)
-	MetricLastTransition = "front_backend_last_transition_seconds"   // gauge per backend, unix time of the last flip
+	MetricRequests       = "front_requests_total"                  // counter by endpoint/code
+	MetricFailovers      = "front_failovers_total"                 // counter, attempts moved to another backend
+	MetricFanouts        = "front_fanouts_total"                   // counter, sweep sub-requests issued
+	MetricUnhealthy      = "front_backend_down"                    // gauge per backend, 1 = failing /readyz
+	MetricRequestSeconds = "front_request_seconds"                 // histogram by endpoint=, wall time per request
+	MetricTransitions    = "front_backend_transitions_total"       // counter per backend, health flips (up<->down)
+	MetricLastTransition = "front_backend_last_transition_seconds" // gauge per backend, unix time of the last flip
 )
 
 // Config shapes the front tier.
@@ -217,9 +219,7 @@ func (f *Front) routes() {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {
@@ -505,10 +505,28 @@ func (f *Front) partition(keys []sweep.CellKey) ([]partition, error) {
 	return out, nil
 }
 
+// rawSweepResponse is serve.SweepResponse with each record kept as the
+// bytes its backend encoded: the front merges records into global order
+// without decoding them.
+type rawSweepResponse struct {
+	Records   []json.RawMessage `json:"records"`
+	Cells     int               `json:"cells"`
+	Completed int               `json:"completed"`
+	Partial   bool              `json:"partial"`
+	Canceled  bool              `json:"canceled"`
+	Failures  []string          `json:"failures,omitempty"`
+}
+
+// zeroRecord is the encoding of a failed cell: the zero Record a single
+// process's partial run leaves at the cell's index. A Record of zero
+// values always encodes, so the error is nil.
+var zeroRecord, _ = json.Marshal(sweep.Record{})
+
 // subSweep runs one partition's unary sub-sweep with failover, keyed by
 // the partition's first cell digest (any stable key rotates from the
-// owner; the hint IS the owner so attempt 0 goes there).
-func (f *Front) subSweep(r *http.Request, p partition) (*serve.SweepResponse, error) {
+// owner; the hint IS the owner so attempt 0 goes there). A response
+// whose record count is not the slice's cell count fails the slice.
+func (f *Front) subSweep(r *http.Request, p partition) (*rawSweepResponse, error) {
 	body, err := serve.CellsBody(p.keys)
 	if err != nil {
 		return nil, err
@@ -517,7 +535,7 @@ func (f *Front) subSweep(r *http.Request, p partition) (*serve.SweepResponse, er
 	if err != nil {
 		return nil, err
 	}
-	var sub serve.SweepResponse
+	var sub rawSweepResponse
 	var lastErr error
 	ok := f.tryBackends(d, func(i int) (bool, bool) {
 		f.fanouts.Add(1)
@@ -556,6 +574,11 @@ func (f *Front) subSweep(r *http.Request, p partition) (*serve.SweepResponse, er
 			lastErr = err
 			return false, false
 		}
+		if len(sub.Records) != len(p.keys) {
+			lastErr = fmt.Errorf("backend %s: %d records for %d cells",
+				f.backends[i], len(sub.Records), len(p.keys))
+			return false, false
+		}
 		return true, false
 	})
 	if !ok {
@@ -577,7 +600,7 @@ func timeoutQuery(r *http.Request) string {
 }
 
 // handleSweep fans a grid out across the backends and merges the
-// sub-responses back into global cell order.
+// sub-responses' record bytes back into global cell order.
 func (f *Front) handleSweep(w http.ResponseWriter, r *http.Request) {
 	f.count("sweep")
 	keys, err := serve.SweepKeysFromRequest(r)
@@ -591,13 +614,13 @@ func (f *Front) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	merged := serve.SweepResponse{
-		Records: make([]sweep.Record, len(keys)),
+	merged := rawSweepResponse{
+		Records: make([]json.RawMessage, len(keys)),
 		Cells:   len(keys),
 	}
 	type subResult struct {
 		part partition
-		resp *serve.SweepResponse
+		resp *rawSweepResponse
 		err  error
 	}
 	results := make([]subResult, len(parts))
@@ -614,8 +637,11 @@ func (f *Front) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	for _, res := range results {
 		if res.err != nil {
-			// The slice's cells stay zero-valued — the same shape a
+			// The slice's cells are zero Records — the same shape a
 			// single-process partial run gives failed cells.
+			for _, gi := range res.part.indices {
+				merged.Records[gi] = zeroRecord
+			}
 			merged.Partial = true
 			merged.Failures = append(merged.Failures,
 				fmt.Sprintf("backend slice (%d cells): %v", len(res.part.keys), res.err))
@@ -635,10 +661,11 @@ func (f *Front) handleSweep(w http.ResponseWriter, r *http.Request) {
 // ---- streaming fan-out ----
 
 // handleSweepStream fans a grid out as backend streams and interleaves
-// their frames onto one client stream, re-indexing each record frame
-// from its slice-local index to the global one. The terminal summary
-// aggregates the backends' summaries; per-backend cache/sharding detail
-// stays on the backends' own /v1/stats.
+// their frames onto one client stream. Record frames are relayed as the
+// backends encoded them, with only the slice-local index rewritten to
+// the global one. The terminal summary aggregates the backends'
+// summaries; per-backend cache/sharding detail stays on the backends'
+// own /v1/stats.
 func (f *Front) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	f.count("sweep_stream")
 	keys, err := serve.SweepKeysFromRequest(r)
@@ -662,14 +689,15 @@ func (f *Front) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Accel-Buffering", "no")
 	flusher, _ := w.(http.Flusher)
 
-	// Frames funnel through one channel (buffered to the grid plus one
-	// summary per partition) so backend readers never block on the
-	// client writer.
-	frames := make(chan serve.StreamFrame, len(keys)+len(parts))
+	// Record frames funnel through one channel, buffered to the grid
+	// (each cell is relayed at most once), so backend readers never
+	// block on the client writer.
+	frames := make(chan []byte, len(keys))
 	type subSummary struct {
-		frame serve.StreamFrame
-		err   error
-		cells int
+		frame   serve.StreamFrame
+		relayed int
+		err     error
+		cells   int
 	}
 	summaries := make([]subSummary, len(parts))
 	var wg sync.WaitGroup
@@ -677,19 +705,16 @@ func (f *Front) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(pi int, p partition) {
 			defer wg.Done()
-			sum, err := f.subStream(r, p, frames)
-			summaries[pi] = subSummary{frame: sum, err: err, cells: len(p.keys)}
+			sum, relayed, err := f.subStream(r, p, frames)
+			summaries[pi] = subSummary{frame: sum, relayed: relayed, err: err, cells: len(p.keys)}
 		}(pi, p)
 	}
 	go func() { wg.Wait(); close(frames) }()
 
-	emit := func(fr *serve.StreamFrame) bool {
-		data, err := json.Marshal(fr)
-		if err != nil {
-			return false
-		}
+	emit := func(typ string, data []byte) bool {
+		var err error
 		if sse {
-			_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", fr.Type, data)
+			_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", typ, data)
 		} else {
 			_, err = w.Write(append(data, '\n'))
 		}
@@ -703,11 +728,11 @@ func (f *Front) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	clientGone := false
-	for fr := range frames {
+	for data := range frames {
 		if clientGone {
 			continue // keep draining so sub-readers finish
 		}
-		if !emit(&fr) {
+		if !emit("record", data) {
 			clientGone = true
 		}
 	}
@@ -718,6 +743,9 @@ func (f *Front) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	sum := serve.StreamFrame{Type: "summary", Cells: len(keys)}
 	for _, s := range summaries {
 		if s.err != nil {
+			// The records relayed before the slice broke are on the
+			// client's stream, so they count as completed.
+			sum.Completed += s.relayed
 			sum.Partial = true
 			sum.Failures = append(sum.Failures,
 				fmt.Sprintf("backend slice (%d cells): %v", s.cells, s.err))
@@ -731,26 +759,30 @@ func (f *Front) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 		}
 		sum.Failures = append(sum.Failures, s.frame.Failures...)
 	}
-	emit(&sum)
+	if data, err := json.Marshal(&sum); err == nil {
+		emit("summary", data)
+	}
 }
 
-// subStream runs one partition's backend stream, forwarding re-indexed
-// record frames and returning the backend's summary frame. Failover
-// only applies before the first frame arrives: once frames flowed, a
-// broken backend stream is a partial slice, not a retry (the cells
-// already forwarded must not stream twice).
-func (f *Front) subStream(r *http.Request, p partition, frames chan<- serve.StreamFrame) (serve.StreamFrame, error) {
+// subStream runs one partition's backend stream, relaying its record
+// frames and returning the backend's summary frame and how many records
+// it relayed. Failover only applies before the first record is relayed:
+// once frames flowed, a broken backend stream is a partial slice, not a
+// retry (the cells already forwarded must not stream twice).
+func (f *Front) subStream(r *http.Request, p partition, frames chan<- []byte) (serve.StreamFrame, int, error) {
 	body, err := serve.CellsBody(p.keys)
 	if err != nil {
-		return serve.StreamFrame{}, err
+		return serve.StreamFrame{}, 0, err
 	}
 	d, err := p.keys[0].Digest()
 	if err != nil {
-		return serve.StreamFrame{}, err
+		return serve.StreamFrame{}, 0, err
 	}
 	var summary serve.StreamFrame
+	var relayed int
 	var lastErr error
 	ok := f.tryBackends(d, func(i int) (bool, bool) {
+		lastErr = nil
 		f.fanouts.Add(1)
 		f.reg.Counter(MetricFanouts).Inc()
 		req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
@@ -786,47 +818,102 @@ func (f *Front) subStream(r *http.Request, p partition, frames chan<- serve.Stre
 			lastErr = fmt.Errorf("backend %s: %d %s", f.backends[i], resp.StatusCode, strings.TrimSpace(string(b)))
 			return false, false
 		}
-		forwarded := false
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 64*1024), 1<<20)
-		sawSummary := false
-		for sc.Scan() {
-			line := sc.Bytes()
-			if len(bytes.TrimSpace(line)) == 0 {
-				continue
-			}
-			var fr serve.StreamFrame
-			if err := json.Unmarshal(line, &fr); err != nil {
-				lastErr = fmt.Errorf("backend %s: bad frame: %v", f.backends[i], err)
-				return forwarded, !forwarded
-			}
-			switch fr.Type {
-			case "record":
-				fr.Index = p.indices[fr.Index] // slice-local -> global
-				frames <- fr
-				forwarded = true
-			case "summary":
-				summary = fr
-				sawSummary = true
-			}
-		}
-		if err := sc.Err(); err != nil {
-			lastErr = fmt.Errorf("backend %s: stream broke: %v", f.backends[i], err)
-			return forwarded, !forwarded
-		}
-		if !sawSummary {
-			lastErr = fmt.Errorf("backend %s: stream ended without summary", f.backends[i])
-			return forwarded, !forwarded
+		summary, relayed, err = relayStream(resp.Body, p.indices, frames)
+		if err != nil {
+			lastErr = fmt.Errorf("backend %s: %v", f.backends[i], err)
+			return relayed > 0, relayed == 0
 		}
 		return true, false
 	})
-	if !ok {
-		if lastErr == nil {
-			lastErr = fmt.Errorf("no backend available")
-		}
-		return serve.StreamFrame{}, lastErr
+	if !ok && lastErr == nil {
+		lastErr = errors.New("no backend available")
 	}
-	return summary, nil
+	if lastErr != nil {
+		return serve.StreamFrame{}, relayed, lastErr
+	}
+	return summary, relayed, nil
+}
+
+// relayStream reads one backend's NDJSON frame stream for the slice
+// whose global cell indices are indices. It sends each record frame,
+// re-indexed, to frames and returns the summary frame and how many
+// records it sent; an error means the stream broke, carried a bad frame
+// or ended without a summary.
+func relayStream(body io.Reader, indices []int, frames chan<- []byte) (serve.StreamFrame, int, error) {
+	var summary serve.StreamFrame
+	seen := make([]bool, len(indices))
+	sent := 0
+	sc := bufio.NewScanner(body)
+	sc.Buffer(make([]byte, 64*1024), 1<<20)
+	for sc.Scan() {
+		line := sc.Bytes()
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		if bytes.HasPrefix(line, recordFramePrefix) {
+			out, err := relayRecordFrame(line, indices, seen)
+			if err != nil {
+				return summary, sent, fmt.Errorf("bad frame: %v", err)
+			}
+			frames <- out
+			sent++
+			continue
+		}
+		var fr serve.StreamFrame
+		if err := json.Unmarshal(line, &fr); err != nil {
+			return summary, sent, fmt.Errorf("bad frame: %v", err)
+		}
+		if fr.Type != "summary" {
+			return summary, sent, fmt.Errorf("bad frame: type %q is neither a record nor a summary", fr.Type)
+		}
+		summary = fr
+	}
+	if err := sc.Err(); err != nil {
+		return summary, sent, fmt.Errorf("stream broke: %v", err)
+	}
+	if summary.Type == "" {
+		return summary, sent, errors.New("stream ended without summary")
+	}
+	return summary, sent, nil
+}
+
+// recordFramePrefix is how every backend record frame begins.
+var recordFramePrefix = []byte(serve.RecordFramePrefix)
+
+// relayRecordFrame rewrites one backend record frame for the client.
+// The slice-local index after recordFramePrefix becomes the global
+// indices[local]; every other byte of line is copied unchanged. It
+// rejects an index that is not a plain decimal integer, is out of
+// range or was already seen (seen is indexed by local index and is
+// marked on success), and a line that is not valid JSON. The returned
+// line has room for one more byte, so a newline appends without a copy.
+func relayRecordFrame(line []byte, indices []int, seen []bool) ([]byte, error) {
+	rest, ok := bytes.CutPrefix(line, recordFramePrefix)
+	if !ok {
+		return nil, errors.New("not a record frame")
+	}
+	local, n := 0, 0
+	for ; n < len(rest) && '0' <= rest[n] && rest[n] <= '9'; n++ {
+		local = local*10 + int(rest[n]-'0')
+		if local >= len(indices) {
+			return nil, fmt.Errorf("record index out of range for a %d-cell slice", len(indices))
+		}
+	}
+	if n == 0 || n == len(rest) || strings.IndexByte(",} \t\r\n", rest[n]) < 0 {
+		return nil, errors.New("record index is not a decimal integer")
+	}
+	if seen[local] {
+		return nil, fmt.Errorf("record index %d repeated", local)
+	}
+	if !json.Valid(line) {
+		return nil, errors.New("record frame is not valid JSON")
+	}
+	seen[local] = true
+	tail := rest[n:]
+	out := make([]byte, 0, len(recordFramePrefix)+20+len(tail)+1)
+	out = append(out, recordFramePrefix...)
+	out = strconv.AppendInt(out, int64(indices[local]), 10)
+	return append(out, tail...), nil
 }
 
 // ---- observability ----

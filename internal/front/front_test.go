@@ -2,6 +2,7 @@ package front
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -142,6 +143,12 @@ func TestFrontSweepMergesByteIdentical(t *testing.T) {
 	if st := c.front.Snapshot(); st.Fanouts != 2 {
 		t.Fatalf("fanouts = %d, want 2", st.Fanouts)
 	}
+
+	// The front relays record bytes, so its body is byte for byte what
+	// one backend answers for the whole grid.
+	if _, direct, _ := get(t, c.backTS[0].URL+"/v1/sweep?"+tableGrid); body != direct {
+		t.Fatalf("front body differs from one backend's:\n--- front ---\n%s\n--- backend ---\n%s", body, direct)
+	}
 }
 
 // Streaming through the front: interleaved backend frames re-indexed to
@@ -158,6 +165,11 @@ func TestFrontStreamMergesByteIdentical(t *testing.T) {
 	if ct := hdr.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Fatalf("Content-Type = %q", ct)
 	}
+	_, ubody, _ := get(t, c.frontTS.URL+"/v1/sweep?"+tableGrid)
+	var unary struct{ Records []json.RawMessage }
+	if err := json.Unmarshal([]byte(ubody), &unary); err != nil {
+		t.Fatal(err)
+	}
 	recs := make([]sweep.Record, cells)
 	var nrec int
 	var summary *serve.StreamFrame
@@ -170,6 +182,12 @@ func TestFrontStreamMergesByteIdentical(t *testing.T) {
 		case "record":
 			recs[fr.Index] = *fr.Record
 			nrec++
+			// Every streamed record is byte for byte the unary one.
+			var raw struct{ Record json.RawMessage }
+			_ = json.Unmarshal([]byte(line), &raw) // the line decoded above
+			if !bytes.Equal(raw.Record, unary.Records[fr.Index]) {
+				t.Fatalf("streamed record %d\n%s\ndiffers from unary\n%s", fr.Index, raw.Record, unary.Records[fr.Index])
+			}
 		case "summary":
 			f := fr
 			summary = &f

@@ -320,8 +320,10 @@ func SystemByName(name string) (*System, error) {
 	}
 }
 
-// sharedSystems memoizes SharedSystemByName, keyed by every spelling
-// seen plus the canonical name, so aliases resolve to one instance.
+// sharedSystems memoizes SharedSystemByName, keyed by the normalized
+// form of every spelling seen and by each canonical name as written, so
+// aliases resolve to one instance and a canonical name needs no
+// normalizing.
 var (
 	sharedMu      sync.Mutex
 	sharedSystems = map[string]*System{}
@@ -336,9 +338,14 @@ var (
 // sweep worker. Callers that intend to mutate a System must use
 // SystemByName and own their copy.
 func SharedSystemByName(name string) (*System, error) {
-	key := normalize(name)
 	sharedMu.Lock()
 	defer sharedMu.Unlock()
+	// Every key maps to the system its normalized form names, so a name
+	// that is itself a key resolves as normalizing it would.
+	if s, ok := sharedSystems[name]; ok {
+		return s, nil
+	}
+	key := normalize(name)
 	if s, ok := sharedSystems[key]; ok {
 		return s, nil
 	}
@@ -353,17 +360,21 @@ func SharedSystemByName(name string) (*System, error) {
 		sharedSystems[canon] = s
 	}
 	sharedSystems[key] = s
+	sharedSystems[s.Name] = s
 	return s, nil
 }
 
+// normalize folds a system name to lower-case ASCII letters and digits.
+// Bytes of multi-byte runes are never ASCII, so they drop out like any
+// other punctuation.
 func normalize(s string) string {
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
-		switch {
-		case r >= 'A' && r <= 'Z':
-			out = append(out, r+'a'-'A')
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			out = append(out, r)
+	out := make([]byte, 0, len(s))
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= 'A' && c <= 'Z':
+			out = append(out, c+'a'-'A')
+		case c >= 'a' && c <= 'z', c >= '0' && c <= '9':
+			out = append(out, c)
 		}
 	}
 	return string(out)

@@ -262,3 +262,48 @@ func TestSharedSystemByName(t *testing.T) {
 		t.Error("SystemByName returned the shared instance")
 	}
 }
+
+// Every alias SystemByName accepts, in any case and punctuation, shares
+// the canonical name's instance.
+func TestSharedSystemByNameAliases(t *testing.T) {
+	cases := map[string][]string{
+		"T640":             {"t640", "T640", "t-640", "T 640"},
+		"C4140 (B)":        {"c4140b", "C4140B", "c4140 (b)"},
+		"C4140 (K)":        {"c4140k", "C4140K", "c4140-k"},
+		"C4140 (M)":        {"c4140m", "C4140M"},
+		"R940 XA":          {"r940xa", "R940XA", "r940 xa"},
+		"DSS 8440":         {"dss8440", "DSS8440", "dss 8440"},
+		"DGX-1":            {"dgx1", "dgx", "DGX", "dgx-1"},
+		"Reference (P100)": {"p100", "P100", "referencep100", "reference", "Reference"},
+	}
+	for canon, aliases := range cases {
+		want, err := SharedSystemByName(canon)
+		if err != nil {
+			t.Fatalf("%s: %v", canon, err)
+		}
+		if want.Name != canon {
+			t.Fatalf("%s resolved to %s", canon, want.Name)
+		}
+		for _, alias := range aliases {
+			got, err := SharedSystemByName(alias)
+			if err != nil {
+				t.Errorf("%q: %v", alias, err)
+			} else if got != want {
+				t.Errorf("%q resolved to %s, want the %s instance", alias, got.Name, canon)
+			}
+		}
+	}
+}
+
+// A canonical system name — what every normalized cell key carries —
+// resolves without allocating once it has been seen.
+func TestSharedSystemByNameCanonicalAllocatesNothing(t *testing.T) {
+	for _, s := range append(AllSystems(), DGX1(), ReferenceP100()) {
+		if _, err := SharedSystemByName(s.Name); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() { _, _ = SharedSystemByName(s.Name) }); n != 0 {
+			t.Errorf("SharedSystemByName(%q): %v allocs, want 0", s.Name, n)
+		}
+	}
+}

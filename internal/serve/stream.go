@@ -72,6 +72,12 @@ type StreamFrame struct {
 	Sharding  *shard.Stats      `json:"sharding,omitempty"`
 }
 
+// RecordFramePrefix is how every encoded record frame begins: Type and
+// Index are StreamFrame's first fields, and Index is always emitted. A
+// front tier relies on it to rewrite a record frame's index without
+// decoding the frame.
+const RecordFramePrefix = `{"type":"record","index":`
+
 // cellSpec is the JSON wire form of one requested cell, for POST
 // bodies. It mirrors sweep.CellKey with the same defaults the GET
 // parameters apply (system dss8440, 1 GPU).

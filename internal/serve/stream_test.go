@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -143,6 +144,33 @@ func TestStreamEqualsUnarySweepByteForByte(t *testing.T) {
 				t.Fatalf("stream_records counter = %d, want %d", st.StreamRecords, unary.Cells)
 			}
 		})
+	}
+}
+
+// The record-frame prefix is the protocol a front tier relays by: every
+// record line starts with exactly these bytes, index digits next, so
+// the index can be rewritten without decoding the frame.
+func TestStreamRecordFramePrefix(t *testing.T) {
+	if RecordFramePrefix != `{"type":"record","index":` {
+		t.Fatalf("RecordFramePrefix = %q", RecordFramePrefix)
+	}
+	_, ts := newTestServer(t, Config{}, nil)
+	code, body, _ := get(t, ts.URL+"/v1/sweep/stream?benchmarks=res50_tf,ncf_py&gpus=1,2")
+	if code != http.StatusOK {
+		t.Fatalf("stream = %d (%s)", code, strings.TrimSpace(body))
+	}
+	lines := strings.Split(strings.TrimRight(body, "\n"), "\n")
+	for i, f := range decodeNDJSON(t, body) {
+		if f.Type != "record" {
+			continue
+		}
+		want := RecordFramePrefix + strconv.Itoa(f.Index) + `,"record":{`
+		if !strings.HasPrefix(lines[i], want) {
+			t.Fatalf("record frame %q does not start with %q", lines[i], want)
+		}
+	}
+	if n := len(lines); n != 5 || strings.HasPrefix(lines[n-1], RecordFramePrefix) {
+		t.Fatalf("%d frames ending %q, want 4 records then a summary", n, lines[n-1])
 	}
 }
 

@@ -50,8 +50,10 @@ type Benchmark struct {
 
 // registry is built once at init; byName indexes it by every accepted
 // spelling so lookups on the sweep hot path are one map probe, not a
-// scan. First registration wins on (hypothetical) alias collisions,
-// preserving the old first-match scan order.
+// scan. Its keys are the lower-case aliases plus each canonical
+// abbreviation as written, so an already-normalized name resolves
+// without case folding. First registration wins on (hypothetical) alias
+// collisions, preserving the old first-match scan order.
 var (
 	registry []Benchmark
 	byName   map[string]int
@@ -63,6 +65,7 @@ func init() {
 	for i, b := range registry {
 		ab := strings.ToLower(b.Abbrev)
 		for _, alias := range []string{
+			b.Abbrev,
 			ab,
 			strings.TrimPrefix(ab, "mlpf_"),
 			strings.TrimPrefix(ab, "dawn_"),
@@ -201,7 +204,11 @@ func MLPerfSuite() []Benchmark { return BySuite(MLPerf) }
 // ByName finds a benchmark by abbreviation (case-insensitive; also
 // accepts the short form without the suite prefix, e.g. "res50_tf").
 func ByName(name string) (Benchmark, error) {
-	if i, ok := byName[strings.ToLower(strings.TrimSpace(name))]; ok {
+	i, ok := byName[name]
+	if !ok {
+		i, ok = byName[strings.ToLower(strings.TrimSpace(name))]
+	}
+	if ok {
 		return registry[i], nil
 	}
 	return Benchmark{}, fmt.Errorf("workload: unknown benchmark %q (have %s)",

@@ -207,3 +207,38 @@ func TestExtensionsMiniGo(t *testing.T) {
 		t.Error("extension leaked into the paper registry")
 	}
 }
+
+// Every spelling ByName accepted before canonical names got their own
+// exact-match keys still resolves, and to the same benchmark.
+func TestByNameAliases(t *testing.T) {
+	for _, b := range All() {
+		lower := strings.ToLower(b.Abbrev)
+		short := lower
+		for _, p := range []string{"mlpf_", "dawn_", "deep_"} {
+			short = strings.TrimPrefix(short, p)
+		}
+		for _, name := range []string{
+			b.Abbrev, lower, strings.ToUpper(b.Abbrev), " " + b.Abbrev + "\t",
+			short, strings.ToUpper(short), " " + short,
+		} {
+			got, err := ByName(name)
+			if err != nil {
+				t.Errorf("ByName(%q): %v", name, err)
+				continue
+			}
+			if got.Abbrev != b.Abbrev {
+				t.Errorf("ByName(%q) = %s, want %s", name, got.Abbrev, b.Abbrev)
+			}
+		}
+	}
+}
+
+// A canonical abbreviation — what every normalized cell key carries —
+// resolves without allocating.
+func TestByNameCanonicalAllocatesNothing(t *testing.T) {
+	for _, b := range All() {
+		if n := testing.AllocsPerRun(100, func() { _, _ = ByName(b.Abbrev) }); n != 0 {
+			t.Errorf("ByName(%q): %v allocs, want 0", b.Abbrev, n)
+		}
+	}
+}
