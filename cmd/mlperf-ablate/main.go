@@ -35,7 +35,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mlperf-ablate:", err)
 		os.Exit(2)
 	}
-	defer sweep.Default.SetStore(nil)
+	defer engineFlags.Close(sweep.Default)
 	which := "all"
 	if flag.NArg() > 0 {
 		which = flag.Arg(0)

@@ -73,7 +73,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mlperf-sweep:", err)
 		os.Exit(2)
 	}
-	defer sweep.Default.SetStore(nil)
+	defer engineFlags.Close(sweep.Default)
 	if reg := sink.Activate(); reg != nil {
 		sweep.Default.SetTelemetry(reg)
 		defer sweep.Default.SetTelemetry(nil)

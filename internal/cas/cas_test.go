@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -71,36 +72,30 @@ func TestBadDigestRejected(t *testing.T) {
 // damaged entry is ever returned. Every corruption mode reads as a miss,
 // the bytes land in quarantine/, and a fresh Put repairs the slot.
 func TestCorruptionQuarantined(t *testing.T) {
+	// Each mod damages the record of n bytes at off in the segment at
+	// path, while the handle that wrote it is still live.
 	corruptions := []struct {
 		name string
-		mod  func(path string) error
+		mod  func(path string, off, n int64) error
 	}{
-		{"truncated", func(p string) error {
-			data, err := os.ReadFile(p)
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(p, data[:len(data)/2], 0o644)
+		{"truncated", func(p string, off, n int64) error {
+			return os.Truncate(p, off+n/2)
 		}},
-		{"bit flip", func(p string) error {
-			data, err := os.ReadFile(p)
-			if err != nil {
-				return err
-			}
-			data[len(data)-1] ^= 0x40
-			return os.WriteFile(p, data, 0o644)
+		{"bit flip", func(p string, off, n int64) error {
+			return rewrite(p, func(data []byte) []byte {
+				data[off+n-1] ^= 0x40
+				return data
+			})
 		}},
-		{"bad magic", func(p string) error {
+		{"bad magic", func(p string, off, n int64) error {
 			return os.WriteFile(p, []byte("not-a-cas-file\n"), 0o644)
 		}},
-		{"future version", func(p string) error {
-			data, err := os.ReadFile(p)
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(p, bytes.Replace(data, []byte("mlperf-cas 1"), []byte("mlperf-cas 99"), 1), 0o644)
+		{"future version", func(p string, off, n int64) error {
+			return rewrite(p, func(data []byte) []byte {
+				return bytes.Replace(data, []byte("mlperf-cas 2"), []byte("mlperf-cas 99"), 1)
+			})
 		}},
-		{"empty file", func(p string) error {
+		{"empty file", func(p string, off, n int64) error {
 			return os.WriteFile(p, nil, 0o644)
 		}},
 	}
@@ -116,7 +111,7 @@ func TestCorruptionQuarantined(t *testing.T) {
 			if err := s.Put(d, payload); err != nil {
 				t.Fatal(err)
 			}
-			if err := tc.mod(s.path(d)); err != nil {
+			if err := tc.mod(recordAt(t, s, d)); err != nil {
 				t.Fatal(err)
 			}
 			got, ok, err := s.Get(d)
@@ -140,14 +135,50 @@ func TestCorruptionQuarantined(t *testing.T) {
 			if _, ok, _ := s.Get(d); !ok {
 				t.Error("slot unusable after quarantine + re-put")
 			}
+			// The condemned record stays condemned for later handles, and
+			// the re-put record is what they serve.
+			fresh, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, ok, err := fresh.Get(d); err != nil || !ok || !bytes.Equal(got, payload) {
+				t.Errorf("fresh handle: ok=%v err=%v", ok, err)
+			}
+			if st := fresh.Stats(); st.Quarantined != 0 {
+				t.Errorf("fresh handle re-quarantined: %+v", st)
+			}
 		})
 	}
 }
 
+// rewrite replaces the file at path with edit of its contents.
+func rewrite(path string, edit func([]byte) []byte) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, edit(data), 0o644)
+}
+
+// recordAt locates the record s has indexed under d: its segment file,
+// offset and length.
+func recordAt(t *testing.T, s *Store, d string) (path string, off, n int64) {
+	t.Helper()
+	key, err := parseDigest(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, sg, ok, err := s.lookup(&key)
+	if err != nil || !ok {
+		t.Fatalf("%s not indexed: %v", d[:8], err)
+	}
+	return filepath.Join(s.Dir(), sg.name), l.off, int64(l.n)
+}
+
 func TestEnvelopeRejectsLengthMismatch(t *testing.T) {
-	env := encodeEnvelope([]byte("abc"))
+	env := encodeEnvelope(digestOf([]byte("abc")), []byte("abc"))
 	env = bytes.Replace(env, []byte("len 3"), []byte("len 2"), 1)
-	if _, err := decodeEnvelope(env); err == nil {
+	if _, _, err := decodeEnvelope(env); err == nil {
 		t.Error("length mismatch accepted")
 	}
 }
@@ -184,6 +215,65 @@ func TestConcurrentPutGet(t *testing.T) {
 	}
 }
 
+// TestConcurrentHandles drives several handles over one directory at
+// once, with and without a byte cap: a Get returns the exact payload or
+// a miss, never an error, and without a cap every handle finally reads
+// every record any of them wrote.
+func TestConcurrentHandles(t *testing.T) {
+	for _, capped := range []bool{false, true} {
+		t.Run(fmt.Sprintf("capped=%v", capped), func(t *testing.T) {
+			dir := t.TempDir()
+			const handles, n = 4, 64
+			payload := func(i int) []byte { return []byte(fmt.Sprintf("shared blob %d", i)) }
+			var stores []*Store
+			for h := 0; h < handles; h++ {
+				s, err := Open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if capped {
+					s.SetMaxBytes(4 << 10)
+				}
+				stores = append(stores, s)
+			}
+			var wg sync.WaitGroup
+			for h, s := range stores {
+				wg.Add(1)
+				go func(h int, s *Store) {
+					defer wg.Done()
+					for i := 0; i < n; i++ {
+						j := (i*7 + h*13) % n
+						if err := s.Put(digestOf(payload(j)), payload(j)); err != nil {
+							t.Error(err)
+							return
+						}
+						k := (i*11 + h) % n
+						got, ok, err := s.Get(digestOf(payload(k)))
+						if err != nil || (ok && !bytes.Equal(got, payload(k))) {
+							t.Errorf("handle %d blob %d: ok=%v err=%v", h, k, ok, err)
+							return
+						}
+					}
+				}(h, s)
+			}
+			wg.Wait()
+			for h, s := range stores {
+				for i := 0; i < n && !capped; i++ {
+					if got, ok, err := s.Get(digestOf(payload(i))); err != nil || !ok || !bytes.Equal(got, payload(i)) {
+						t.Fatalf("handle %d blob %d after the writes: ok=%v err=%v", h, i, ok, err)
+					}
+				}
+				if st := s.Stats(); st.Quarantined != 0 {
+					t.Errorf("handle %d quarantined %d records", h, st.Quarantined)
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestCrossStoreSharing is the cross-process story in miniature: two
 // Store handles over one directory see each other's writes.
 func TestCrossStoreSharing(t *testing.T) {
@@ -204,6 +294,44 @@ func TestCrossStoreSharing(t *testing.T) {
 	got, ok, err := b.Get(d)
 	if err != nil || !ok || !bytes.Equal(got, payload) {
 		t.Fatalf("second handle misses the first's write: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestScanSpansChunks pins index rebuilding across scan reads: a handle
+// opened over a segment several scan chunks long indexes every record,
+// and picks up a live writer's later appends on a miss.
+func TestScanSpansChunks(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(from, to int) {
+		for i := from; i < to; i++ {
+			p := []byte(fmt.Sprintf("record %d %s", i, strings.Repeat("x", i%97)))
+			if err := w.Put(digestOf(p), p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const n = 2000 // several scanChunks of records
+	put(0, n)
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := r.Len(); err != nil || got != n {
+		t.Fatalf("reader indexed %d records (%v), want %d", got, err, n)
+	}
+	put(n, 2*n)
+	for i := 0; i < 2*n; i++ {
+		p := []byte(fmt.Sprintf("record %d %s", i, strings.Repeat("x", i%97)))
+		if got, ok, err := r.Get(digestOf(p)); err != nil || !ok || !bytes.Equal(got, p) {
+			t.Fatalf("record %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	if st := r.Stats(); st.Quarantined != 0 || st.Hits != 2*n {
+		t.Errorf("reader stats %+v, want %d hits and nothing quarantined", st, 2*n)
 	}
 }
 
@@ -230,9 +358,7 @@ func TestQuarantineBounded(t *testing.T) {
 		}
 		// Corrupt it in place, then read it back: the damaged entry is
 		// quarantined, and quarantine/ is pruned past the cap.
-		if err := os.WriteFile(s.path(d), []byte("garbage"), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		smash(t, s, d)
 		if _, ok, err := s.Get(d); err != nil || ok {
 			t.Fatalf("round %d: corrupt entry ok=%v err=%v", i, ok, err)
 		}
@@ -285,45 +411,66 @@ func TestQuarantineLimitKnob(t *testing.T) {
 	}
 }
 
-// fileSize reports the on-disk envelope size of one stored digest.
-func fileSize(t *testing.T, s *Store, d string) int64 {
+// smash overwrites the start of d's record in place with garbage.
+func smash(t *testing.T, s *Store, d string) {
 	t.Helper()
-	info, err := os.Stat(s.path(d))
+	path, off, _ := recordAt(t, s, d)
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return info.Size()
+	defer f.Close()
+	if _, err := f.WriteAt([]byte("garbage"), off); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// age backdates a stored entry's mtime so eviction order is
+// recordSize reports the on-disk size of one stored record.
+func recordSize(t *testing.T, s *Store, d string) int64 {
+	t.Helper()
+	_, _, n := recordAt(t, s, d)
+	return n
+}
+
+// age backdates the segment holding d so eviction order is
 // deterministic regardless of filesystem timestamp granularity.
 func age(t *testing.T, s *Store, d string, secondsAgo int) {
 	t.Helper()
+	path, _, _ := recordAt(t, s, d)
 	when := time.Now().Add(-time.Duration(secondsAgo) * time.Second)
-	if err := os.Chtimes(s.path(d), when, when); err != nil {
+	if err := os.Chtimes(path, when, when); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // SetMaxBytes on an over-capacity store evicts oldest-first until it
 // fits, counting each removal — and only counts removals of intact
-// entries, under Evictions.
+// entries, under Evictions. Each entry is written by its own handle,
+// closed afterwards, so each sits alone in a sealed segment.
 func TestSetMaxBytesEvictsOldestFirst(t *testing.T) {
-	s, err := Open(t.TempDir())
+	dir := t.TempDir()
+	var digests []string
+	for i := 0; i < 5; i++ {
+		w, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := []byte(fmt.Sprintf(`{"cell":%d,"pad":"0123456789abcdef"}`, i))
+		d := digestOf(p)
+		if err := w.Put(d, p); err != nil {
+			t.Fatal(err)
+		}
+		age(t, w, d, 100-i) // entry 0 oldest, entry 4 newest
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		digests = append(digests, d)
+	}
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var digests []string
-	for i := 0; i < 5; i++ {
-		p := []byte(fmt.Sprintf(`{"cell":%d,"pad":"0123456789abcdef"}`, i))
-		d := digestOf(p)
-		if err := s.Put(d, p); err != nil {
-			t.Fatal(err)
-		}
-		age(t, s, d, 100-i) // entry 0 oldest, entry 4 newest
-		digests = append(digests, d)
-	}
-	size := fileSize(t, s, digests[0])
+	size := recordSize(t, s, digests[0])
 
 	// Room for two entries plus slack smaller than a third.
 	s.SetMaxBytes(2*size + size/2)
@@ -363,7 +510,7 @@ func TestPutOverflowEvictsOnWriteThrough(t *testing.T) {
 		return d
 	}
 	d0 := put(0, 100)
-	size := fileSize(t, s, d0)
+	size := recordSize(t, s, d0)
 	s.SetMaxBytes(2*size + size/2)
 	d1 := put(1, 50)
 	if st := s.Stats(); st.Evictions != 0 {
@@ -401,16 +548,14 @@ func TestQuarantineDoesNotCountAsEviction(t *testing.T) {
 		}
 	}
 	// Corrupt one entry on disk, then read it: quarantine path.
-	if err := os.WriteFile(s.path(bd), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	smash(t, s, bd)
 	if _, ok, err := s.Get(bd); ok || err != nil {
 		t.Fatalf("corrupt get: ok=%v err=%v", ok, err)
 	}
 
 	// A cap large enough for the surviving entry: the quarantined bytes
 	// must neither count toward capacity nor be deleted by the scan.
-	s.SetMaxBytes(2 * fileSize(t, s, gd))
+	s.SetMaxBytes(2 * recordSize(t, s, gd))
 	st := s.Stats()
 	if st.Quarantined != 1 {
 		t.Fatalf("quarantined = %d, want 1", st.Quarantined)
@@ -428,24 +573,26 @@ func TestQuarantineDoesNotCountAsEviction(t *testing.T) {
 	}
 }
 
-// TestGetBoundsEntryRead proves Get never reads an oversized file into
-// memory: an entry path holding more than maxEntryBytes is quarantined
-// as corrupt, while a directory at an entry path stays an environmental
-// error that leaves the path alone.
+// TestGetBoundsEntryRead proves no record is read into memory beyond
+// maxEntryBytes: a header announcing a longer payload is quarantined as
+// corrupt before anything is allocated for it, while a directory where
+// a segment should be stays an environmental error that leaves the path
+// alone.
 func TestGetBoundsEntryRead(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	big := digestOf([]byte("big"))
-	if err := os.MkdirAll(filepath.Dir(s.path(big)), 0o755); err != nil {
+	hdr := bytes.Replace(encodeEnvelope(big, nil), []byte("len 0"),
+		[]byte("len "+strconv.Itoa(maxEntryBytes+1)), 1)
+	seg := filepath.Join(s.Dir(), "big"+segExt)
+	if err := os.WriteFile(seg, hdr, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// A sparse file: maxEntryBytes+1 bytes on paper, no disk to speak of.
-	if err := os.WriteFile(s.path(big), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(s.path(big), maxEntryBytes+1); err != nil {
+	// A sparse file: the whole announced payload on paper, no disk to
+	// speak of.
+	if err := os.Truncate(seg, int64(len(hdr))+maxEntryBytes+1); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, err := s.Get(big); ok || err != nil {
@@ -454,16 +601,19 @@ func TestGetBoundsEntryRead(t *testing.T) {
 	if st := s.Stats(); st.Quarantined != 1 || st.Misses != 1 {
 		t.Errorf("stats %+v, want 1 quarantined / 1 miss", st)
 	}
+	if q, _ := filepath.Glob(filepath.Join(s.Dir(), quarantineDir, big+".*")); len(q) != 1 {
+		t.Errorf("quarantine evidence %v, want one copy", q)
+	}
 
-	dir := digestOf([]byte("dir"))
-	if err := os.MkdirAll(s.path(dir), 0o755); err != nil {
+	dir := filepath.Join(s.Dir(), "dir"+segExt)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := s.Get(dir); ok || err == nil {
-		t.Fatalf("directory at entry path: ok=%v err=%v, want an error", ok, err)
+	if _, ok, err := s.Get(digestOf([]byte("dir"))); ok || err == nil {
+		t.Fatalf("directory at a segment path: ok=%v err=%v, want an error", ok, err)
 	}
-	if info, err := os.Stat(s.path(dir)); err != nil || !info.IsDir() {
-		t.Errorf("directory at entry path was moved: %v", err)
+	if info, err := os.Stat(dir); err != nil || !info.IsDir() {
+		t.Errorf("directory at a segment path was moved: %v", err)
 	}
 	if st := s.Stats(); st.Quarantined != 1 {
 		t.Errorf("stats %+v, want the directory left out of quarantine", st)

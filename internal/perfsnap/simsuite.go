@@ -147,6 +147,9 @@ func gridDiskWarm(b *testing.B) {
 	if _, err := seed.Run(g); err != nil {
 		b.Fatal(err)
 	}
+	if err := fill.Close(); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ds, err := sweep.OpenDiskStore(dir)
@@ -160,6 +163,9 @@ func gridDiskWarm(b *testing.B) {
 		}
 		if st := e.Stats(); st.Simulations != 0 {
 			b.Fatalf("disk-warm iteration simulated %d cells", st.Simulations)
+		}
+		if err := ds.Close(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

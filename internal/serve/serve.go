@@ -178,8 +178,11 @@ type Server struct {
 	tenants *tenantLimiter
 	coal    *coalescer
 	breaker *Breaker
-	log     *telemetry.Logger
-	flight  *telemetry.FlightRecorder
+	// disk is the store New opened from Config.CacheDir; Shutdown
+	// closes it.
+	disk   *sweep.DiskStore
+	log    *telemetry.Logger
+	flight *telemetry.FlightRecorder
 
 	mux     *http.ServeMux
 	httpSrv *http.Server
@@ -244,6 +247,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: cache dir %s: %w", cfg.CacheDir, err)
 		}
 		ds.SetMaxBytes(cfg.CacheMaxBytes)
+		s.disk = ds
 		s.breaker = NewBreaker(ds, BreakerConfig{
 			Threshold: cfg.BreakerThreshold,
 			Cooldown:  cfg.BreakerCooldown,
@@ -344,8 +348,9 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // (503 + /readyz not-ready), listeners close, and in-flight requests
 // get until ctx's deadline to finish. When the deadline expires the
 // remaining computations are cancelled — the engine's Partial path
-// returns whatever completed — and connections are force-closed. Safe
-// to call without a listener (tests drive Handler directly).
+// returns whatever completed — and connections are force-closed. A
+// cache store New opened from Config.CacheDir is closed last. Safe to
+// call without a listener (tests drive Handler directly).
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	s.flight.Event("drain begin", "")
@@ -366,6 +371,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		<-ctx.Done()
 	}
 	s.hardCancel()
+	if s.disk != nil {
+		if cerr := s.disk.Close(); cerr != nil && err == nil {
+			err = cerr
+		}
+	}
 	s.flight.Event("drain complete", "")
 	s.log.Info("drain complete")
 	s.DumpFlight("drain")

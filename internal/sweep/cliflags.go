@@ -19,6 +19,9 @@ type CLIFlags struct {
 	CacheMaxBytes int64
 	// Shards is the -shards value (0/1 = plain worker pool).
 	Shards int
+
+	// store is the persistent tier Apply opened; Close closes it.
+	store *DiskStore
 }
 
 // RegisterCLIFlags declares -cache-dir and -shards on fs (nil = the
@@ -39,9 +42,9 @@ func RegisterCLIFlags(fs *flag.FlagSet) *CLIFlags {
 
 // Apply configures the engine from the parsed flags: validates the
 // shard count, opens (creating if needed) the persistent tier and
-// attaches both. Callers should detach the store at exit
-// (defer e.SetStore(nil)) so a process-shared engine does not outlive
-// the flag scope.
+// attaches both. Callers should release the store at exit
+// (defer f.Close(e)) so a process-shared engine does not outlive the
+// flag scope.
 func (f *CLIFlags) Apply(e *Engine) error {
 	if f.Shards < 0 {
 		return fmt.Errorf("sweep: -shards must be >= 0 (0 = unsharded), got %d", f.Shards)
@@ -60,8 +63,19 @@ func (f *CLIFlags) Apply(e *Engine) error {
 		}
 		ds.SetMaxBytes(f.CacheMaxBytes)
 		e.SetStore(ds)
+		f.store = ds
 	}
 	return nil
+}
+
+// Close detaches the persistent tier from e and closes the store Apply
+// opened, if any.
+func (f *CLIFlags) Close(e *Engine) error {
+	e.SetStore(nil)
+	if f.store == nil {
+		return nil
+	}
+	return f.store.Close()
 }
 
 // Record writes the flags into a telemetry sink's config via set (the

@@ -78,6 +78,8 @@ type cellEntry struct {
 	once sync.Once
 	rec  Record
 	err  error
+	// settled is set once rec and err are final.
+	settled atomic.Bool
 }
 
 // NewEngine returns an engine running at most workers cells concurrently
@@ -254,22 +256,9 @@ func (e *Engine) Cells(keys []CellKey) ([]Record, error) {
 // span; sharded runs pass their shard span instead).
 func (e *Engine) cell(k CellKey, parent telemetry.SpanID) (Record, error) {
 	reg := e.tel.Load()
-	e.mu.Lock()
-	en, ok := e.cache[k]
-	if !ok {
-		en = &cellEntry{}
-		e.cache[k] = en
-		e.misses++
-	} else {
-		e.hits++
-	}
-	e.mu.Unlock()
-	if ok {
-		reg.Counter(MetricCacheTotal, telemetry.L("result", "hit")).Inc()
-	} else {
-		reg.Counter(MetricCacheTotal, telemetry.L("result", "miss")).Inc()
-	}
+	en := e.lookup(k, false)
 	en.once.Do(func() {
+		defer en.settled.Store(true)
 		// Second tier: a disk hit promotes into the memory map without
 		// simulating. Only verified content comes back from the store, so
 		// this branch can change wall time but never records.
@@ -307,6 +296,32 @@ func (e *Engine) cell(k CellKey, parent telemetry.SpanID) (Record, error) {
 		}
 	})
 	return en.rec, en.err
+}
+
+// lookup returns k's memo entry, counting a hit, or creates it,
+// counting a miss. With settledOnly, a key whose entry has not settled
+// is neither created nor counted, and lookup returns nil.
+func (e *Engine) lookup(k CellKey, settledOnly bool) *cellEntry {
+	e.mu.Lock()
+	en, ok := e.cache[k]
+	if settledOnly && (!ok || !en.settled.Load()) {
+		e.mu.Unlock()
+		return nil
+	}
+	if !ok {
+		en = &cellEntry{}
+		e.cache[k] = en
+		e.misses++
+	} else {
+		e.hits++
+	}
+	e.mu.Unlock()
+	result := "miss"
+	if ok {
+		result = "hit"
+	}
+	e.tel.Load().Counter(MetricCacheTotal, telemetry.L("result", result)).Inc()
+	return en
 }
 
 // cellName renders the span label of one cell ("res50_tf/dss8440@4").

@@ -361,10 +361,14 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 // panic-guarded) simulation against the per-cell deadline and the
 // run's context. On timeout the simulation goroutine keeps running in
 // the background — a CPU-bound cell cannot be interrupted — and its
-// eventual result stays available in the cache.
+// eventual result stays available in the cache. A cell already settled
+// in the cache cannot block, so it is answered inline.
 func (e *Engine) attemptCell(ctx context.Context, k CellKey, timeout time.Duration, parent telemetry.SpanID) (Record, error) {
 	if timeout <= 0 && ctx.Done() == nil {
 		return e.cell(k, parent)
+	}
+	if en := e.lookup(k, true); en != nil {
+		return en.rec, en.err
 	}
 	type outcome struct {
 		rec Record

@@ -334,3 +334,36 @@ func TestGridFaultsValidated(t *testing.T) {
 		t.Fatal("invalid grid fault plan accepted")
 	}
 }
+
+// TestSettledCellsAnswerInline pins the hardened path's fast answer: a
+// cell already settled in the memory tier is returned under a
+// cancellable context without starting a goroutine, and counted as a
+// hit exactly as the plain path counts it.
+func TestSettledCellsAnswerInline(t *testing.T) {
+	keys, err := expand(storeGrid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(1)
+	if _, err := e.Cells(keys); err != nil {
+		t.Fatal(err)
+	}
+	before := e.Stats()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const runs = 50
+	allocs := testing.AllocsPerRun(runs, func() {
+		for _, k := range keys {
+			if _, err := e.attemptCell(ctx, k, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("settled cells cost %.1f allocs per pass, want 0", allocs)
+	}
+	st := e.Stats()
+	if want := before.Hits + int64((runs+1)*len(keys)); st.Hits != want || st.Misses != before.Misses || st.Simulations != before.Simulations {
+		t.Errorf("stats %+v after %+v, want %d hits and nothing else counted", st, before, want)
+	}
+}

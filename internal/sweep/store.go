@@ -60,8 +60,9 @@ type TierStats struct {
 // persistent tier: keys address entries by their canonical digest and
 // records travel in the strict versioned codec above. A DiskStore can
 // be shared by concurrent sweeps in one process and — via the underlying
-// store's atomic writes — by multiple processes over one directory,
-// which is what turns repeated paper-scale grids into near-free replays.
+// store's per-handle segments — by multiple processes over one
+// directory, which is what turns repeated paper-scale grids into
+// near-free replays.
 type DiskStore struct {
 	cas *cas.Store
 }
@@ -79,9 +80,13 @@ func OpenDiskStore(dir string) (*DiskStore, error) {
 // Dir returns the store's root directory.
 func (d *DiskStore) Dir() string { return d.cas.Dir() }
 
-// SetMaxBytes caps the tier's on-disk size; past it the oldest entries
-// are evicted on write-through (counted in TierStats.Evictions).
-// n <= 0 removes the cap.
+// Close releases the store's files and its segment lock. Get and Put
+// fail (and read as misses) after Close.
+func (d *DiskStore) Close() error { return d.cas.Close() }
+
+// SetMaxBytes caps the tier's on-disk size; past it the oldest sealed
+// segments are evicted on write-through, each record they held counted
+// in TierStats.Evictions. n <= 0 removes the cap.
 func (d *DiskStore) SetMaxBytes(n int64) { d.cas.SetMaxBytes(n) }
 
 // Get implements Store. Any defect — unreadable entry, codec mismatch,

@@ -136,8 +136,9 @@ func TestMissesMonotoneAcrossPromotions(t *testing.T) {
 }
 
 // TestDiskStoreCorruptEntryIsMiss proves a damaged entry costs one
-// re-simulation, never a wrong record: truncate one stored cell, rerun,
-// results identical, corruption counted as a disk eviction.
+// re-simulation, never a wrong record: cut the last stored cell in half
+// after its writer has closed (a torn write), rerun, results identical,
+// the damage counted as a quarantine and not an eviction.
 func TestDiskStoreCorruptEntryIsMiss(t *testing.T) {
 	dir := t.TempDir()
 	g := storeGrid()
@@ -151,20 +152,10 @@ func TestDiskStoreCorruptEntryIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Truncate the first cell's entry in place.
-	d, err := (CellKey{Benchmark: "res50_tf", System: "c4140k", GPUs: 1}).Digest()
-	if err != nil {
+	if err := ds.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, d[:2], d)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)/3], 0o644); err != nil {
-		t.Fatal(err)
-	}
+	tearLastRecord(t, dir)
 
 	ds2, err := OpenDiskStore(dir)
 	if err != nil {
@@ -192,9 +183,41 @@ func TestDiskStoreCorruptEntryIsMiss(t *testing.T) {
 	if q, _ := filepath.Glob(filepath.Join(dir, "quarantine", "*")); len(q) != 1 {
 		t.Errorf("quarantine holds %d entries, want 1", len(q))
 	}
-	// The slot healed: the write-through re-stored the record.
-	if _, ok := ds2.Get(CellKey{Benchmark: "MLPf_Res50_TF", System: "C4140 (K)", GPUs: 1, Precision: "mixed"}); !ok {
-		t.Error("re-simulated record was not written back to disk")
+	// The slot healed: the write-through re-stored the record, and a new
+	// handle replays every cell.
+	ds3, err := OpenDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := expand(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		if _, ok := ds3.Get(k); !ok {
+			t.Errorf("%+v missing after the re-simulation's write-back", k)
+		}
+	}
+}
+
+// tearLastRecord cuts the last record of the store's only segment in
+// half, as a writer killed mid-write would leave it.
+func tearLastRecord(t *testing.T, dir string) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v (%v), want one", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := bytes.LastIndex(data, []byte("mlperf-cas "))
+	if last < 0 {
+		t.Fatal("no record in the segment")
+	}
+	if err := os.Truncate(segs[0], int64(last+(len(data)-last)/2)); err != nil {
+		t.Fatal(err)
 	}
 }
 
